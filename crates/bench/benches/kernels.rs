@@ -2,11 +2,12 @@
 //! of the per-phase numbers in Figure 1 and Table III. Runs on the
 //! in-tree timing harness (`mmsb_bench::timing`).
 
-use mmsb::core::kernels::phi::{update_phi_row, PhiParams};
-use mmsb::core::kernels::theta::{theta_gradient_pair, update_theta};
-use mmsb::core::kernels::RowView;
+use mmsb::core::kernels::theta::update_theta;
+use mmsb::core::PHI_MIN;
 use mmsb::prelude::*;
+use mmsb::rand::dist::Normal;
 use mmsb_bench::timing::{black_box, Suite};
+use mmsb_simd::{PhiScratch, ThetaScratch};
 
 fn simplex_row(rng: &mut Xoshiro256PlusPlus, k: usize) -> Vec<f32> {
     let raw: Vec<f64> = (0..k).map(|_| 0.05 + rng.next_f64()).collect();
@@ -14,7 +15,19 @@ fn simplex_row(rng: &mut Xoshiro256PlusPlus, k: usize) -> Vec<f32> {
     raw.iter().map(|&x| (x / s) as f32).collect()
 }
 
-fn bench_update_phi(suite: &mut Suite) {
+/// The scalar (width-1 lane emulation) backend and the widest one this
+/// host runs, once each.
+fn backends() -> Vec<Backend> {
+    let mut out = vec![Backend::Scalar];
+    if Backend::detect() != Backend::Scalar {
+        out.push(Backend::detect());
+    }
+    out
+}
+
+/// One full SGRLD row update: gradient, coordinate-order polar noise,
+/// vectorized finish — the sequence the samplers run per vertex.
+fn bench_update_phi(suite: &mut Suite, backend: Backend) {
     for k in [16usize, 64, 256] {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         let n_neighbors = 32;
@@ -24,23 +37,35 @@ fn bench_update_phi(suite: &mut Suite) {
             .flat_map(|_| simplex_row(&mut rng, k))
             .collect();
         let linked: Vec<bool> = (0..n_neighbors).map(|_| rng.coin()).collect();
-        let params = PhiParams {
-            alpha: 1.0 / k as f64,
-            delta: 1e-5,
-            eps: 0.01,
-            grad_scale: 100.0,
-        };
-        let mut f = vec![0.0f64; 2 * k];
+        let (alpha, eps) = (1.0 / k as f64, 0.01);
+        let mut scratch = PhiScratch::new(k);
+        let (mut u, mut s, mut noise) = (vec![0.0f64; k], vec![0.0f64; k], vec![0.0f64; k]);
         let mut out = vec![0.0f64; k];
-        suite.bench(&format!("update_phi_row/{k}"), || {
-            update_phi_row(
+        suite.bench(&format!("update_phi_row/{backend}/{k}"), || {
+            mmsb_simd::phi_gradient(
+                backend,
                 black_box(&phi_a),
                 black_box(&beta),
-                &RowView::new(&rows, k),
+                &rows,
+                k,
                 &linked,
-                &params,
-                &mut rng,
-                &mut f,
+                1e-5,
+                &mut scratch,
+                &mut out,
+            );
+            for c in 0..k {
+                (u[c], s[c]) = Normal::standard_accept(&mut rng);
+            }
+            mmsb_simd::polar_normal(backend, &u, &s, &mut noise);
+            mmsb_simd::sgrld_step(
+                backend,
+                &phi_a,
+                &noise,
+                alpha,
+                0.5 * eps,
+                100.0,
+                eps.sqrt(),
+                PHI_MIN,
                 &mut out,
             );
             black_box(&out);
@@ -48,7 +73,7 @@ fn bench_update_phi(suite: &mut Suite) {
     }
 }
 
-fn bench_theta(suite: &mut Suite) {
+fn bench_theta(suite: &mut Suite, backend: Backend) {
     for k in [16usize, 64, 256] {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
         let pi_a = simplex_row(&mut rng, k);
@@ -57,26 +82,31 @@ fn bench_theta(suite: &mut Suite) {
         let beta: Vec<f64> = (0..k)
             .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
             .collect();
-        let mut f_diag = vec![0.0f64; k];
-        let mut grad = vec![0.0f64; 2 * k];
-        suite.bench(&format!("theta/gradient_pair/{k}"), || {
-            theta_gradient_pair(
+        let mut scratch = ThetaScratch::new(k);
+        mmsb_simd::theta_chunk_begin(&beta, &theta, 1e-5, &mut scratch);
+        suite.bench(&format!("theta/gradient_pair/{backend}/{k}"), || {
+            mmsb_simd::theta_accumulate_pair(
+                backend,
+                &mut scratch,
                 black_box(&pi_a),
                 black_box(&pi_b),
                 true,
                 100.0,
-                &beta,
-                &theta,
-                1e-5,
-                &mut f_diag,
-                &mut grad,
             );
-            black_box(&grad);
+            black_box(&scratch);
         });
-        let mut theta_mut = theta.clone();
+    }
+}
+
+/// The theta SGRLD step; backend-independent.
+fn bench_theta_update(suite: &mut Suite) {
+    for k in [16usize, 64, 256] {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
+        let mut theta: Vec<f64> = (0..2 * k).map(|_| 0.5 + rng.next_f64()).collect();
+        let grad: Vec<f64> = (0..2 * k).map(|_| rng.next_f64() - 0.5).collect();
         suite.bench(&format!("theta/update/{k}"), || {
-            update_theta(&mut theta_mut, &grad, 1.0, (1.0, 1.0), 0.001, &mut rng);
-            black_box(&theta_mut);
+            update_theta(&mut theta, &grad, 1.0, (1.0, 1.0), 0.001, &mut rng);
+            black_box(&theta);
         });
     }
 }
@@ -101,8 +131,11 @@ fn bench_perplexity(suite: &mut Suite) {
 
 fn main() {
     let mut suite = Suite::from_args("kernels");
-    bench_update_phi(&mut suite);
-    bench_theta(&mut suite);
+    for backend in backends() {
+        bench_update_phi(&mut suite, backend);
+        bench_theta(&mut suite, backend);
+    }
+    bench_theta_update(&mut suite);
     bench_perplexity(&mut suite);
     suite.finish();
 }

@@ -11,11 +11,13 @@
 //! mode, and `samples > 1` timed batches feed a real median — so lines
 //! sharing an `id` are directly comparable across runs and modes.
 //!
-//! Backends: `phi_step/...` lines force the scalar kernels (the
-//! pre-SIMD baseline, comparable with the full history of this file);
-//! `phi_step_simd/backend=<b>/...` lines force the widest backend
-//! runtime detection finds. The `phi_simd_speedup/threads=1` line
-//! records the single-thread scalar-to-SIMD step speedup.
+//! Backends: `phi_step/...` lines force the scalar backend, the width-1
+//! lane emulation of the `mmsb-simd` kernels. Earlier lines with that id
+//! measured separate legacy scalar kernels (since removed), so they are
+//! comparable with today's only as a history of the scalar path, not as
+//! the same code. `phi_step_simd/backend=<b>/...` lines force the widest
+//! backend runtime detection finds. The `phi_simd_speedup/threads=1`
+//! line records the single-thread scalar-to-SIMD step speedup.
 
 use mmsb::prelude::*;
 use mmsb_bench::timing::{append_json, emit_obs_snapshot, fmt_ns, host_cores, Measurement, BENCH_SCHEMA};

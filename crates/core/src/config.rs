@@ -87,8 +87,8 @@ pub struct SamplerConfig {
     /// Kernel backend selection for the phi/theta hot path.
     ///
     /// `Auto` (the default) picks the widest SIMD backend the host
-    /// supports; `Force(Backend::Scalar)` routes every kernel through
-    /// the legacy scalar code, reproducing pre-SIMD chains bit for bit.
+    /// supports; `Force(Backend::Scalar)` runs the same kernels on the
+    /// portable width-1 lane emulation, which every host can execute.
     /// Chains are bitwise-reproducible per backend (same backend, seed,
     /// and thread count ⇒ identical bytes), but different backends
     /// round differently in the last ulps — force one for cross-host

@@ -1,11 +1,12 @@
-//! Numerical kernels shared by all three samplers.
+//! Numerical kernels shared by every sampler driver.
 //!
-//! Everything here is pure (state in, state out): the sequential, parallel
-//! and distributed drivers differ only in *where* these kernels run and
-//! how their inputs travel, which is what makes chain-equivalence across
-//! drivers testable.
+//! The phi gradient (Eq. 5/6) and the theta gradient (Eq. 4) run in
+//! `mmsb-simd` on every backend — `Backend::Scalar` is its width-1 lane
+//! emulation. What stays here is pure (state in, state out): the theta
+//! SGRLD step and the strided row view the phi kernel reads. The drivers
+//! differ only in *where* these kernels run and how their inputs travel,
+//! which is what makes chain-equivalence across drivers testable.
 
-pub mod phi;
 pub mod theta;
 
 /// Strided view over concatenated f32 rows (e.g. DKV read buffers, where

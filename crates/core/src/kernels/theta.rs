@@ -1,62 +1,10 @@
-//! The global-parameter update (Eq. 3/4): SGRLD step on `theta`.
+//! The global-parameter update (Eq. 3): SGRLD step on `theta`. The
+//! gradient it consumes (Eq. 4) is accumulated by the `mmsb-simd` theta
+//! kernel on every backend.
 
 use crate::state::PHI_MIN;
 use mmsb_rand::dist::Normal;
 use mmsb_rand::RngCore;
-
-/// Accumulate one pair's contribution to the `theta` gradient (Eq. 4)
-/// into `grad` (flat `K x 2`, `grad[2k + i]`), scaled by the pair's
-/// mini-batch `weight` (the stratum scale `h`, divided by the number of
-/// averaged strata).
-///
-/// `weight * f_kk / Z_ab * (|1 - i - y| / theta_ki - 1 / sum_j theta_kj)`
-/// with `f_kk = p(y | beta_k) * pi_ak * pi_bk` and `Z_ab` the pair
-/// marginal. `f_diag` is caller scratch of at least `K` slots, so batch
-/// loops reuse one buffer instead of allocating per pair.
-#[allow(clippy::too_many_arguments)] // hot kernel: flat scalar arguments beat a params struct here
-pub fn theta_gradient_pair(
-    pi_a: &[f32],
-    pi_b: &[f32],
-    y: bool,
-    weight: f64,
-    beta: &[f64],
-    theta: &[f64],
-    delta: f64,
-    f_diag: &mut [f64],
-    grad: &mut [f64],
-) {
-    let k = beta.len();
-    assert!(pi_a.len() >= k && pi_b.len() >= k, "pi rows shorter than K");
-    assert!(f_diag.len() >= k, "f_diag scratch shorter than K");
-    assert_eq!(theta.len(), 2 * k, "theta must be K x 2");
-    assert_eq!(grad.len(), 2 * k, "gradient buffer must be K x 2");
-
-    let p_ne = if y { delta } else { 1.0 - delta };
-    // Z and the diagonal terms f_kk in one pass.
-    let mut z = 0.0f64;
-    for c in 0..k {
-        let pa = pi_a[c] as f64;
-        let pb = pi_b[c] as f64;
-        let p_eq = if y { beta[c] } else { 1.0 - beta[c] };
-        let f = p_eq * pa * pb;
-        f_diag[c] = f;
-        z += f + p_ne * pa * (1.0 - pb);
-    }
-    debug_assert!(z > 0.0, "pair marginal must be positive");
-    let inv_z = 1.0 / z;
-    let yf = if y { 1.0 } else { 0.0 };
-    for c in 0..k {
-        let w = weight * f_diag[c] * inv_z;
-        if w == 0.0 {
-            continue;
-        }
-        let sum_theta = theta[2 * c] + theta[2 * c + 1];
-        let inv_sum = 1.0 / sum_theta;
-        // i = 0: |1 - 0 - y| = 1 - y; i = 1: |1 - 1 - y| = y.
-        grad[2 * c] += w * ((1.0 - yf) / theta[2 * c] - inv_sum);
-        grad[2 * c + 1] += w * (yf / theta[2 * c + 1] - inv_sum);
-    }
-}
 
 /// One full SGRLD step (Eq. 3) on `theta` given the accumulated mini-batch
 /// gradient and the batch scale `h(E_n)`. Updates `theta` in place; the
@@ -86,124 +34,7 @@ pub fn update_theta<R: RngCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmsb_rand::{Rng, Xoshiro256PlusPlus};
-
-    /// Pair marginal log-likelihood as a function of theta (through beta),
-    /// for finite-difference checks.
-    fn log_z(pi_a: &[f32], pi_b: &[f32], y: bool, theta: &[f64], delta: f64) -> f64 {
-        let k = theta.len() / 2;
-        let p_ne = if y { delta } else { 1.0 - delta };
-        let mut z = 0.0;
-        for c in 0..k {
-            let beta_c = theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]);
-            let p_eq = if y { beta_c } else { 1.0 - beta_c };
-            let pa = pi_a[c] as f64;
-            let pb = pi_b[c] as f64;
-            z += p_eq * pa * pb + p_ne * pa * (1.0 - pb);
-        }
-        z.ln()
-    }
-
-    fn random_setup(k: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f64>) {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let simplex = |rng: &mut Xoshiro256PlusPlus| -> Vec<f32> {
-            let raw: Vec<f64> = (0..k).map(|_| 0.05 + rng.next_f64()).collect();
-            let s: f64 = raw.iter().sum();
-            raw.iter().map(|&x| (x / s) as f32).collect()
-        };
-        let pi_a = simplex(&mut rng);
-        let pi_b = simplex(&mut rng);
-        let theta: Vec<f64> = (0..2 * k).map(|_| 0.5 + 2.0 * rng.next_f64()).collect();
-        (pi_a, pi_b, theta)
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences() {
-        for (seed, y) in [(1u64, true), (2, false)] {
-            let k = 4;
-            let (pi_a, pi_b, theta) = random_setup(k, seed);
-            let beta: Vec<f64> = (0..k)
-                .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
-                .collect();
-            let delta = 0.01;
-            let mut f_diag = vec![0.0; k];
-            let mut grad = vec![0.0; 2 * k];
-            theta_gradient_pair(&pi_a, &pi_b, y, 1.0, &beta, &theta, delta, &mut f_diag, &mut grad);
-
-            let h = 1e-6;
-            for j in 0..2 * k {
-                let mut plus = theta.clone();
-                plus[j] += h;
-                let mut minus = theta.clone();
-                minus[j] -= h;
-                let fd = (log_z(&pi_a, &pi_b, y, &plus, delta)
-                    - log_z(&pi_a, &pi_b, y, &minus, delta))
-                    / (2.0 * h);
-                assert!(
-                    (grad[j] - fd).abs() < 1e-5 * (1.0 + fd.abs()),
-                    "y={y} component {j}: analytic {} vs fd {fd}",
-                    grad[j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weight_scales_linearly() {
-        let k = 3;
-        let (pi_a, pi_b, theta) = random_setup(k, 9);
-        let beta: Vec<f64> = (0..k)
-            .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
-            .collect();
-        let mut f_diag = vec![0.0; k];
-        let mut unit = vec![0.0; 2 * k];
-        theta_gradient_pair(&pi_a, &pi_b, true, 1.0, &beta, &theta, 0.01, &mut f_diag, &mut unit);
-        let mut scaled = vec![0.0; 2 * k];
-        theta_gradient_pair(&pi_a, &pi_b, true, 5.0, &beta, &theta, 0.01, &mut f_diag, &mut scaled);
-        for (u, s) in unit.iter().zip(&scaled) {
-            assert!((5.0 * u - s).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gradient_accumulates_across_pairs() {
-        let k = 3;
-        let (pi_a, pi_b, theta) = random_setup(k, 5);
-        let beta: Vec<f64> = (0..k)
-            .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
-            .collect();
-        let mut f_diag = vec![0.0; k];
-        let mut once = vec![0.0; 2 * k];
-        theta_gradient_pair(&pi_a, &pi_b, true, 1.0, &beta, &theta, 0.01, &mut f_diag, &mut once);
-        let mut twice = vec![0.0; 2 * k];
-        theta_gradient_pair(&pi_a, &pi_b, true, 1.0, &beta, &theta, 0.01, &mut f_diag, &mut twice);
-        theta_gradient_pair(&pi_a, &pi_b, true, 1.0, &beta, &theta, 0.01, &mut f_diag, &mut twice);
-        for (o, t) in once.iter().zip(&twice) {
-            assert!((2.0 * o - t).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn link_observation_pushes_beta_up() {
-        // After many positive updates on a linked pair concentrated in
-        // community 0, beta_0 should grow.
-        let k = 2;
-        let pi_a = [0.95f32, 0.05];
-        let pi_b = [0.95f32, 0.05];
-        let mut theta = vec![1.0, 1.0, 1.0, 1.0];
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        for _ in 0..300 {
-            let beta: Vec<f64> = (0..k)
-                .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
-                .collect();
-            let mut f_diag = vec![0.0; k];
-            let mut grad = vec![0.0; 2 * k];
-            theta_gradient_pair(&pi_a, &pi_b, true, 1.0, &beta, &theta, 1e-5, &mut f_diag, &mut grad);
-            update_theta(&mut theta, &grad, 50.0, (1.0, 1.0), 0.005, &mut rng);
-        }
-        let beta0 = theta[1] / (theta[0] + theta[1]);
-        assert!(beta0 > 0.7, "beta0 = {beta0}");
-    }
+    use mmsb_rand::Xoshiro256PlusPlus;
 
     #[test]
     fn update_keeps_theta_positive() {

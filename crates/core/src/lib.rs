@@ -29,6 +29,15 @@
 //! A fourth driver, [`train_threaded`], runs the same master–worker
 //! protocol with real OS threads and `mmsb-comm` message passing (for
 //! functional/concurrency validation; it produces the identical chain).
+//! The two master–worker drivers share one set of worker stages —
+//! neighbor sampling, the chunked `update_phi` over DKV rows, the
+//! `update_pi` row encoding, the theta-gradient share and the held-out
+//! probabilities — and differ only in their master schedule and
+//! transport.
+//!
+//! Every driver runs the phi and theta kernels of `mmsb-simd`; the
+//! backend is picked by [`SamplerConfig::simd`], and `Scalar` is the
+//! portable width-1 emulation of the same kernels.
 //!
 //! # Quickstart
 //!

@@ -19,17 +19,20 @@
 //! order of the distributed `theta`-gradient reduction (each worker sums
 //! its pair share, then shares are summed in rank order).
 
+use super::worker::{
+    encode_pi_rows, heldout_probs, sample_neighbor_sets, split_contiguous, theta_gradient_share,
+    update_phi_share, WorkerScratch,
+};
 use super::Engine;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
 use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
-use crate::kernels::RowView;
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
-use mmsb_dkv::{DkvStore, FaultingStore, Partition, ShardedStore};
+use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader};
+use mmsb_dkv::FaultingStore;
 use mmsb_graph::heldout::HeldOut;
-use mmsb_graph::{Graph, GraphAccess, VertexId};
+use mmsb_graph::{Graph, GraphAccess};
 use mmsb_netsim::{
     collective, ClusterClocks, DkvFault, FaultConfig, FaultPlan, MsgFault, NetworkModel, Phase,
     PhaseTimes, RecoveryPolicy, TraceReport,
@@ -37,7 +40,6 @@ use mmsb_netsim::{
 use mmsb_netsim::obs_bridge;
 use mmsb_obs::clock::Stopwatch;
 use mmsb_obs::id as obs_id;
-use mmsb_rand::Xoshiro256PlusPlus;
 
 /// Cluster-level configuration of the distributed sampler.
 #[derive(Debug, Clone, Copy)]
@@ -178,16 +180,11 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// Reader buffers (ping-pong row buffers, per-chunk timings, dedup
-    /// scratch) — persistent so the steady state allocates nothing.
-    scratch: ReaderScratch,
+    /// Worker-stage buffers, shared by the ranks as they run in turn.
+    worker: WorkerScratch,
     /// The real double-buffered loader ([`PipelineMode::Double`]); its
     /// background worker persists across iterations.
     prefetch: PrefetchingReader,
-    /// Reusable per-worker key/segment staging for the chunked loads.
-    keys_buf: Vec<u32>,
-    seg_lens: Vec<usize>,
-    linked_buf: Vec<bool>,
     /// Block cache for out-of-core adjacency probes in the worker
     /// `update_phi` stage (`None` for resident backends). Pure scratch.
     graph_cache: Option<mmsb_ooc::BlockCache>,
@@ -200,20 +197,12 @@ const STAGE_REDUCE: u64 = 1;
 const STAGE_BROADCAST: u64 = 2;
 const STAGE_COUNT: u64 = 3;
 
-/// Evenly split `items` into `parts` contiguous chunks (first chunks get
-/// the remainder).
-fn split_contiguous<T>(items: &[T], parts: usize) -> Vec<&[T]> {
-    let n = items.len();
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(&items[lo..lo + len]);
-        lo += len;
-    }
-    out
+/// Record a phase time in the virtual-time trace and mirror it into the
+/// obs per-phase histogram, so the printed breakdown and an exported
+/// metrics snapshot share one accounting.
+fn trace_add(trace: &mut PhaseTimes, phase: Phase, seconds: f64) {
+    trace.add(phase, seconds);
+    mmsb_obs::hist_record_secs(obs_bridge::phase_hist_id(phase), seconds);
 }
 
 impl DistributedSampler {
@@ -244,16 +233,9 @@ impl DistributedSampler {
             });
         }
         let engine = Engine::with_backend(graph, heldout, config)?;
-        let n = engine.graph.num_vertices();
-        let k = engine.config.k;
-        let mut store = ShardedStore::new(Partition::new(n, dcfg.workers), k + 1);
         // Initial population of the collective memory (not charged to the
         // clocks: the paper's measurements likewise start after loading).
-        let mut row = vec![0.0f32; k + 1];
-        for a in 0..n {
-            engine.state.encode_dkv_row(a, &mut row);
-            store.write_batch(&[a], &row)?;
-        }
+        let store = engine.state.dkv_store(dcfg.workers)?;
         let prefetch = PrefetchingReader::new(dcfg.chunk_vertices)
             .with_dedup_reads(dcfg.dedup_reads)
             .with_compute_scale(dcfg.node.scale(1.0));
@@ -265,6 +247,7 @@ impl DistributedSampler {
         let graph_cache = engine
             .graph
             .new_cache(engine.config.graph_cache_blocks, engine.config.seed ^ 0xD15);
+        let worker = WorkerScratch::new(engine.config.k, engine.config.neighbor_sample);
         Ok(Self {
             engine,
             dcfg,
@@ -276,11 +259,8 @@ impl DistributedSampler {
             checkpoint_every: None,
             clocks: ClusterClocks::new(dcfg.workers + 1),
             trace: PhaseTimes::new(),
-            scratch: ReaderScratch::new(),
+            worker,
             prefetch,
-            keys_buf: Vec::new(),
-            seg_lens: Vec::new(),
-            linked_buf: Vec::new(),
             graph_cache,
         })
     }
@@ -334,29 +314,9 @@ impl DistributedSampler {
     /// time is *not* rewound — restoring is part of the run's history.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CoreError> {
         ckpt.install(&mut self.engine)?;
-        self.reload_store()?;
+        self.engine.state.write_dkv_rows(self.store.inner_mut())?;
         self.last_checkpoint = Some(ckpt.clone());
         Ok(())
-    }
-
-    /// Re-encode every vertex row from the engine state into the store.
-    fn reload_store(&mut self) -> Result<(), CoreError> {
-        let n = self.engine.graph.num_vertices();
-        let k = self.engine.config.k;
-        let mut row = vec![0.0f32; k + 1];
-        for a in 0..n {
-            self.engine.state.encode_dkv_row(a, &mut row);
-            self.store.inner_mut().write_batch(&[a], &row)?;
-        }
-        Ok(())
-    }
-
-    /// Record a phase time in the virtual-time trace and mirror it into
-    /// the obs per-phase histogram, so the printed breakdown and an
-    /// exported metrics snapshot share one accounting.
-    fn trace_add(&mut self, phase: Phase, seconds: f64) {
-        self.trace.add(phase, seconds);
-        mmsb_obs::hist_record_secs(obs_bridge::phase_hist_id(phase), seconds);
     }
 
     /// Record one modeled collective. The simulate path never touches
@@ -399,14 +359,12 @@ impl DistributedSampler {
 
         // ------------------------------------------------- master: draw
         let t0 = Stopwatch::start();
-        let mb = self.engine.draw_minibatch();
+        self.engine.refresh_minibatch();
         let draw = t0.elapsed_secs();
-        self.trace_add(Phase::DrawMinibatch, draw);
+        trace_add(&mut self.trace, Phase::DrawMinibatch, draw);
 
-        let vertices = mb.vertices();
-        let vertex_shares = split_contiguous(&vertices, r);
-        let pair_shares = split_contiguous(&mb.pairs, r);
-        let weight_shares = split_contiguous(&mb.weights, r);
+        let vertex_shares = split_contiguous(&self.engine.mb_vertices, r);
+        let pair_shares = split_contiguous(&self.engine.mb.pairs, r);
 
         // Deploy: per-worker bytes = vertex ids + their adjacency rows +
         // the worker's pair share (9 bytes: two ids + observation).
@@ -425,7 +383,7 @@ impl DistributedSampler {
         let deploy = collective::scatter(&net, r + 1, deploy_bytes)
             + self.collective_retry_cost(STAGE_DEPLOY, &mut recovery_t);
         Self::obs_collective(deploy);
-        self.trace_add(Phase::DeployMinibatch, deploy);
+        trace_add(&mut self.trace, Phase::DeployMinibatch, deploy);
         self.clocks.advance(0, draw + deploy);
         if self.dcfg.pipeline == PipelineMode::Single {
             // Non-pipelined: workers wait for the deployment.
@@ -444,123 +402,63 @@ impl DistributedSampler {
         // barrier.
 
         // -------------------------------------- workers: update_phi
-        let mut all_updates: Vec<super::engine::PhiUpdate> = Vec::with_capacity(vertices.len());
+        let p = self.engine.worker_params();
+        let nv = self.engine.mb_vertices.len();
+        // One `K`-row per mini-batch vertex. Freed with the step, so the
+        // sampler holds no batch-sized buffer between iterations.
+        let mut updates = vec![0.0f64; nv * k];
+        // Both modes deliver identical chunks in identical order — only
+        // the load execution (and hence time) differs. The clocks always
+        // advance by the *modeled* makespan so netsim figures stay
+        // comparable; Double additionally records the measured
+        // overlapped wall-clock.
+        let sync = ChunkedReader::new(self.dcfg.chunk_vertices, PipelineMode::Single)
+            .with_dedup_reads(self.dcfg.dedup_reads)
+            .with_compute_scale(node.scale(1.0));
+        let double = self.dcfg.pipeline == PipelineMode::Double;
         let mut max_neigh = 0.0f64;
         let mut max_load = 0.0f64;
         let mut max_compute = 0.0f64;
         let mut max_wall = 0.0f64;
         let mut max_stage_recovery = 0.0f64;
+        let mut offset = 0usize;
         for (w, share) in vertex_shares.iter().enumerate() {
             let rank = w + 1;
             // Sample neighbor sets (worker compute, thread-parallel on the
             // node).
             let t0 = Stopwatch::start();
-            let mut per_vertex: Vec<(VertexId, Vec<VertexId>, Xoshiro256PlusPlus)> = share
-                .iter()
-                .map(|&a| {
-                    let mut rng =
-                        crate::rngs::vertex_rng(self.engine.config.seed, self.engine.iteration, a.0);
-                    let ns = self
-                        .engine
-                        .neighbors
-                        .sample(a, Some(&self.engine.heldout), &mut rng);
-                    (a, ns, rng)
-                })
-                .collect();
+            let mut tasks = sample_neighbor_sets(
+                &p,
+                &self.engine.neighbors,
+                &self.engine.heldout,
+                share.iter().copied(),
+            );
             let neigh = node.scale(t0.elapsed_secs());
             self.clocks.advance(rank, neigh);
             max_neigh = max_neigh.max(neigh);
 
-            // Chunked load + compute over this worker's vertices, routed
-            // through the dkv readers. Chunk boundaries follow
-            // `chunk_vertices`, so a chunk's key count varies with the
-            // sampled neighbor sets — hence the segment API. Every buffer
-            // involved (keys, segments, row ping-pong, timings, dedup
-            // scratch) persists on `self`, keeping the steady state
-            // allocation-free.
-            let row_len = k + 1;
-            let keys = &mut self.keys_buf;
-            let seg_lens = &mut self.seg_lens;
-            keys.clear();
-            seg_lens.clear();
-            for chunk in per_vertex.chunks(self.dcfg.chunk_vertices) {
-                // Keys: own row then neighbor rows, per vertex.
-                let before = keys.len();
-                for (a, ns, _) in chunk.iter() {
-                    keys.push(a.0);
-                    keys.extend(ns.iter().map(|b| b.0));
-                }
-                seg_lens.push(keys.len() - before);
-            }
-            let engine = &self.engine;
-            let linked = &mut self.linked_buf;
-            // The adjacency reader borrows only `self.graph_cache`,
-            // disjoint from the engine and buffer borrows above.
-            let mut reader = engine.graph.reader(self.graph_cache.as_mut());
-            let mut vi = 0usize;
-            let mut on_chunk = |_start: usize, chunk_keys: &[u32], rows: &[f32]| {
-                let mut offset = 0usize;
-                while offset < chunk_keys.len() {
-                    let (a, ns, rng) = &mut per_vertex[vi];
-                    let own = &rows[offset * row_len..(offset + 1) * row_len];
-                    let nrows =
-                        &rows[(offset + 1) * row_len..(offset + 1 + ns.len()) * row_len];
-                    linked.clear();
-                    linked.extend(ns.iter().map(|&b| reader.has_edge(*a, b)));
-                    let update = engine.compute_phi_update_from_rows(
-                        *a,
-                        own,
-                        &RowView::new(nrows, row_len),
-                        linked,
-                        rng,
-                    );
-                    all_updates.push(update);
-                    offset += 1 + ns.len();
-                    vi += 1;
-                }
-            };
-            // Both modes deliver identical chunks in identical order to
-            // `on_chunk` — only the load execution (and hence time)
-            // differs. The clocks always advance by the *modeled* makespan
-            // so netsim figures stay comparable; Double additionally
-            // records the measured overlapped wall-clock.
-            let (stage, load_sum, compute_sum) = match self.dcfg.pipeline {
-                PipelineMode::Single => {
-                    let run = ChunkedReader::new(self.dcfg.chunk_vertices, PipelineMode::Single)
-                        .with_dedup_reads(self.dcfg.dedup_reads)
-                        .with_compute_scale(node.scale(1.0))
-                        .run_segments(
-                            self.store.inner(),
-                            w,
-                            keys,
-                            seg_lens,
-                            &net,
-                            &mut self.scratch,
-                            &mut on_chunk,
-                        )
-                        .expect("keys are valid vertex ids");
-                    (run.total, run.load, run.compute)
-                }
-                PipelineMode::Double => {
-                    let run = self
-                        .prefetch
-                        .run_segments(
-                            self.store.inner(),
-                            w,
-                            keys,
-                            seg_lens,
-                            &net,
-                            &mut self.scratch,
-                            &mut on_chunk,
-                        )
-                        .expect("keys are valid vertex ids");
-                    max_wall = max_wall.max(run.wall);
-                    (run.modeled.total, run.modeled.load, run.modeled.compute)
-                }
-            };
+            // Chunked load + compute over this worker's vertices. The
+            // adjacency reader borrows only `self.graph_cache`.
+            let mut reader = self.engine.graph.reader(self.graph_cache.as_mut());
+            let run = update_phi_share(
+                &p,
+                &mut tasks,
+                self.store.inner(),
+                w,
+                &net,
+                sync,
+                double.then_some(&mut self.prefetch),
+                &mut self.worker,
+                |_, a, b| reader.has_edge(a, b),
+                &mut updates[offset * k..(offset + share.len()) * k],
+            )
+            .expect("keys are valid vertex ids");
+            offset += share.len();
+            let (stage, load_sum) = (run.modeled.total, run.modeled.load);
             self.clocks.advance(rank, stage);
             max_load = max_load.max(load_sum);
-            max_compute = max_compute.max(compute_sum);
+            max_compute = max_compute.max(run.modeled.compute);
+            max_wall = max_wall.max(run.wall);
 
             // Transient faults on this worker's load/compute stage:
             // retried chunk reads plus a possible straggle. Decisions come
@@ -569,7 +467,7 @@ impl DistributedSampler {
             // read-retry *data* path is what `FaultingStore`'s own tests
             // pin down).
             if self.dcfg.faults.is_some() {
-                let chunks = self.seg_lens.len();
+                let chunks = run.modeled.chunks;
                 let per_chunk = if chunks > 0 {
                     load_sum / chunks as f64
                 } else {
@@ -584,44 +482,42 @@ impl DistributedSampler {
             }
         }
         recovery_t += max_stage_recovery;
-        self.trace_add(Phase::SampleNeighbors, max_neigh);
-        self.trace_add(Phase::LoadPi, max_load);
-        self.trace_add(Phase::UpdatePhi, max_compute);
-        if self.dcfg.pipeline == PipelineMode::Double {
-            self.trace_add(Phase::Prefetch, max_wall);
+        trace_add(&mut self.trace, Phase::SampleNeighbors, max_neigh);
+        trace_add(&mut self.trace, Phase::LoadPi, max_load);
+        trace_add(&mut self.trace, Phase::UpdatePhi, max_compute);
+        if double {
+            trace_add(&mut self.trace, Phase::Prefetch, max_wall);
         }
 
         // Barrier before update_pi (memory consistency, paper §III-C).
         let barrier_cost = net.barrier_time(r + 1);
         self.clocks.barrier(barrier_cost);
-        self.trace_add(Phase::Barrier, barrier_cost);
+        trace_add(&mut self.trace, Phase::Barrier, barrier_cost);
 
         // ------------------------------------------ workers: update_pi
-        // Apply updates to the authoritative state, then write the fresh
-        // rows through the store (per owning worker's share).
-        self.engine.apply_phi_updates(&all_updates);
+        // Each worker writes its share's fresh rows through the store.
         let mut max_pi = 0.0f64;
         let mut max_write_recovery = 0.0f64;
-        let update_shares = split_contiguous(&all_updates, r);
-        for (w, share) in update_shares.iter().enumerate() {
+        let mut offset = 0usize;
+        for (w, share) in vertex_shares.iter().enumerate() {
             let rank = w + 1;
             let t0 = Stopwatch::start();
-            let keys: Vec<u32> = share.iter().map(|(a, _)| a.0).collect();
-            let mut vals = vec![0.0f32; keys.len() * (k + 1)];
-            for (i, &key) in keys.iter().enumerate() {
-                self.engine
-                    .state
-                    .encode_dkv_row(key, &mut vals[i * (k + 1)..(i + 1) * (k + 1)]);
-            }
+            let (keys, vals) = encode_pi_rows(
+                share,
+                &updates[offset * k..(offset + share.len()) * k],
+                k,
+                &mut self.worker,
+            );
+            offset += share.len();
             let compute = node.scale(t0.elapsed_secs());
-            let wire = self.store.inner().write_cost(w, &keys, &net);
+            let wire = self.store.inner().write_cost(w, keys, &net);
             // The real write goes through the fault layer: a failed
             // attempt really applies a partial prefix, and the retry's
             // idempotent full rewrite converges to the same bytes — only
             // the modeled recovery time differs from the clean run.
             let outcome = self
                 .store
-                .write_batch_recovered(w, &keys, &vals, wire)
+                .write_batch_recovered(w, keys, vals, wire)
                 .expect("retry budget covers transient write faults");
             self.clocks
                 .advance(rank, compute + wire + outcome.recovery_seconds);
@@ -629,17 +525,23 @@ impl DistributedSampler {
             max_write_recovery = max_write_recovery.max(outcome.recovery_seconds);
         }
         recovery_t += max_write_recovery;
-        self.trace_add(Phase::UpdatePi, max_pi);
+        trace_add(&mut self.trace, Phase::UpdatePi, max_pi);
+        // The master's authoritative state takes the same rows.
+        self.engine.apply_phi_updates_flat(&updates);
 
         // Barrier before update_beta (fresh pi everywhere).
         self.clocks.barrier(barrier_cost);
-        self.trace_add(Phase::Barrier, barrier_cost);
+        trace_add(&mut self.trace, Phase::Barrier, barrier_cost);
 
         // --------------------------------- update_beta_theta (4 steps)
+        let p = self.engine.worker_params();
+        let pair_shares = split_contiguous(&self.engine.mb.pairs, r);
+        let weight_shares = split_contiguous(&self.engine.mb.weights, r);
         let mut beta_stage = 0.0f64;
+        let mut grad = vec![0.0f64; 2 * k];
         let mut grad_total = vec![0.0f64; 2 * k];
         let mut max_grad_time = 0.0f64;
-        for (w, share) in pair_shares.iter().enumerate() {
+        for (w, (share, weights)) in pair_shares.iter().zip(&weight_shares).enumerate() {
             let rank = w + 1;
             // Load pi for the endpoints of this worker's pair share.
             let keys: Vec<u32> = share
@@ -648,7 +550,14 @@ impl DistributedSampler {
                 .collect();
             let wire = self.store.inner().read_cost(w, &keys, &net);
             let t0 = Stopwatch::start();
-            let grad = self.engine.theta_gradient_slice(share, weight_shares[w]);
+            theta_gradient_share(
+                &p,
+                share,
+                weights,
+                |v| self.engine.state.pi_row(v),
+                &mut self.worker.ws.theta_scratch,
+                &mut grad,
+            );
             let compute = node.scale(t0.elapsed_secs());
             for (g, c) in grad_total.iter_mut().zip(&grad) {
                 *g += c;
@@ -662,9 +571,8 @@ impl DistributedSampler {
         let reduce = collective::reduce(&net, r + 1, 2 * k * 8)
             + self.collective_retry_cost(STAGE_REDUCE, &mut recovery_t);
         Self::obs_collective(reduce);
-        let t_reduce = self.clocks.barrier(reduce); // reduce is a sync point
+        self.clocks.barrier(reduce); // reduce is a sync point
         beta_stage += reduce;
-        let _ = t_reduce;
         // Master: theta step + beta broadcast.
         let t0 = Stopwatch::start();
         self.engine.apply_theta_update(&grad_total);
@@ -675,10 +583,10 @@ impl DistributedSampler {
         self.clocks.advance(0, master_compute + bcast);
         self.clocks.barrier(0.0);
         beta_stage += master_compute + bcast;
-        self.trace_add(Phase::UpdateBetaTheta, beta_stage);
+        trace_add(&mut self.trace, Phase::UpdateBetaTheta, beta_stage);
 
         if recovery_t > 0.0 {
-            self.trace_add(Phase::Recovery, recovery_t);
+            trace_add(&mut self.trace, Phase::Recovery, recovery_t);
         }
 
         self.engine.bump_iteration();
@@ -723,10 +631,12 @@ impl DistributedSampler {
         self.dcfg.workers -= 1;
         let n = self.engine.graph.num_vertices();
         let k = self.engine.config.k;
-        let store = ShardedStore::new(Partition::new(n, self.dcfg.workers), k + 1);
-        self.store = FaultingStore::new(store, self.plan, self.policy);
-        self.reload_store()
+        let store = self
+            .engine
+            .state
+            .dkv_store(self.dcfg.workers)
             .expect("fresh partition accepts every vertex");
+        self.store = FaultingStore::new(store, self.plan, self.policy);
         // Model the recovery: the survivors wait out the stage timeout
         // that detects the loss, then the master re-scatters the full
         // checkpointed state over the new partition.
@@ -737,7 +647,7 @@ impl DistributedSampler {
         let resume_at = self.clocks.max() + cost;
         self.clocks = ClusterClocks::new(self.dcfg.workers + 1);
         self.clocks.barrier(resume_at);
-        self.trace_add(Phase::Recovery, cost);
+        trace_add(&mut self.trace, Phase::Recovery, cost);
     }
 
     /// Modeled seconds `rank`'s chunked read stage spends on transient
@@ -814,7 +724,7 @@ impl DistributedSampler {
         let net = self.dcfg.net;
         let node = self.dcfg.node;
         let total = self.engine.heldout.len();
-        let mut all_probs = Vec::with_capacity(total);
+        let mut all_probs = vec![0.0f64; total];
         let mut max_t = 0.0f64;
         let mut offset = 0usize;
         for w in 0..r {
@@ -826,10 +736,15 @@ impl DistributedSampler {
                 .collect();
             let wire = self.store.inner().read_cost(w, &keys, &net);
             let t0 = Stopwatch::start();
-            let probs = self.engine.perplexity_probs(offset, offset + share.len());
+            heldout_probs(
+                self.engine.state.beta(),
+                self.engine.config.delta,
+                share,
+                |v| self.engine.state.pi_row(v),
+                &mut all_probs[offset..offset + share.len()],
+            );
             let compute = node.scale(t0.elapsed_secs());
             offset += share.len();
-            all_probs.extend(probs);
             self.clocks.advance(rank, wire + compute);
             max_t = max_t.max(wire + compute);
         }
@@ -837,7 +752,7 @@ impl DistributedSampler {
         Self::obs_collective(gather);
         self.clocks.advance(0, gather);
         self.clocks.barrier(0.0);
-        self.trace_add(Phase::Perplexity, max_t + gather);
+        trace_add(&mut self.trace, Phase::Perplexity, max_t + gather);
         self.engine.record_perplexity_sample(&all_probs)
     }
 

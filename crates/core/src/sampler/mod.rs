@@ -14,5 +14,6 @@ pub mod threaded;
 
 mod driver;
 mod engine;
+pub(crate) mod worker;
 
 pub(crate) use engine::Engine;

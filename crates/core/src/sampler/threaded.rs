@@ -17,26 +17,26 @@
 //!   combined with a real reduce; held-out probabilities are gathered.
 //!
 //! The chain it produces is **bit-identical** to the lockstep driver —
-//! both are built from the same worker-side kernels and the same
+//! both run the worker stages of [`super::worker`] on the same
 //! `(seed, iteration, vertex)` randomness — which the integration tests
 //! assert. Use this driver for functional/concurrency validation; use the
 //! lockstep driver when you need cluster timing.
 
-use super::engine::{phi_update_from_dkv_rows, Engine, WorkerParams};
+use super::worker::{
+    encode_pi_rows, heldout_probs, sample_neighbor_sets, split_contiguous, theta_gradient_share,
+    update_phi_share, WorkerParams, WorkerScratch,
+};
+use super::Engine;
 use crate::config::{SamplerConfig, StateLayout};
-use crate::kernels::theta::theta_gradient_pair;
-use crate::kernels::RowView;
-use crate::perplexity::link_probability;
 use crate::{CoreError, ModelState};
 use mmsb_comm::message::{MessageReader, MessageWriter};
 use mmsb_comm::{collectives, Endpoint, LocalCluster};
-use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
-use mmsb_dkv::{DkvStore, Partition, ShardedStore};
+use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader};
+use mmsb_dkv::{DkvStore, ShardedStore};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
-use mmsb_graph::{Graph, VertexId};
+use mmsb_graph::{Edge, Graph, VertexId};
 use mmsb_netsim::NetworkModel;
-use mmsb_rand::Xoshiro256PlusPlus;
 use std::sync::{Arc, RwLock};
 
 /// Mini-batch vertices per load/compute chunk in the worker threads —
@@ -87,20 +87,10 @@ pub fn train_threaded(
             reason: "threaded sampler requires the PiSumPhi layout".into(),
         });
     }
-    let mut engine = Engine::new(graph, heldout, config)?;
+    let mut engine = Engine::with_backend(graph.into(), heldout, config)?;
     let n = engine.graph.num_vertices();
     let k = engine.config.k;
-
-    // Populate the shared store from the initial state.
-    let store = {
-        let mut s = ShardedStore::new(Partition::new(n, workers), k + 1);
-        let mut row = vec![0.0f32; k + 1];
-        for a in 0..n {
-            engine.state.encode_dkv_row(a, &mut row);
-            s.write_batch(&[a], &row)?;
-        }
-        Arc::new(RwLock::new(s))
-    };
+    let store = Arc::new(RwLock::new(engine.state.dkv_store(workers)?));
 
     let mut endpoints = LocalCluster::spawn(workers + 1);
     let master_ep = endpoints.remove(0);
@@ -120,15 +110,14 @@ pub fn train_threaded(
     // ---------------- master loop ----------------
     let mut trace = Vec::new();
     for t in 0..iterations {
-        let mb = engine.draw_minibatch();
-        let vertices = mb.vertices();
+        engine.refresh_minibatch();
         let do_perplexity = perplexity_every > 0 && (t + 1) % perplexity_every == 0;
 
         // Scatter shares: vertex ids + adjacency rows + pair share +
         // weights + the current global parameters.
-        let v_shares = split(&vertices, workers);
-        let p_shares = split(&mb.pairs, workers);
-        let w_shares = split(&mb.weights, workers);
+        let v_shares = split_contiguous(&engine.mb_vertices, workers);
+        let p_shares = split_contiguous(&engine.mb.pairs, workers);
+        let w_shares = split_contiguous(&engine.mb.weights, workers);
         for w in 0..workers {
             let mut msg = MessageWriter::new();
             msg.put_f64_slice(engine.state.beta());
@@ -136,7 +125,8 @@ pub fn train_threaded(
             let ids: Vec<u32> = v_shares[w].iter().map(|v| v.0).collect();
             msg.put_u32_slice(&ids);
             for &v in v_shares[w] {
-                msg.put_u32_slice(engine.neighbors_master(v));
+                let reader = engine.graph.reader(engine.master_cache.as_mut());
+                msg.put_u32_slice(reader.into_neighbors(v));
             }
             let pair_words: Vec<u32> = p_shares[w]
                 .iter()
@@ -182,12 +172,9 @@ pub fn train_threaded(
     }
 
     // Sync pi back from the store into the master's state.
-    let store = store.read().expect("store lock poisoned");
-    let mut row = vec![0.0f32; k + 1];
-    for a in 0..n {
-        store.read_batch(&[a], &mut row)?;
-        engine.state.apply_dkv_row(a, &row);
-    }
+    engine
+        .state
+        .read_dkv_rows(&*store.read().expect("store lock poisoned"))?;
     let checkpoint = crate::Checkpoint::capture(&engine);
     Ok(ThreadedOutcome {
         state: engine.state,
@@ -202,21 +189,6 @@ fn comm_error(e: mmsb_comm::CommError) -> CoreError {
     }
 }
 
-/// Evenly split `items` into `parts` contiguous chunks.
-fn split<T>(items: &[T], parts: usize) -> Vec<&[T]> {
-    let nitems = items.len();
-    let base = nitems / parts;
-    let extra = nitems % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(&items[lo..lo + len]);
-        lo += len;
-    }
-    out
-}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ep: Endpoint,
@@ -229,26 +201,23 @@ fn worker_loop(
     pipeline: PipelineMode,
 ) -> Result<(), CoreError> {
     let k = config.k;
-    let row_len = k + 1;
     let w = ep.rank() - 1; // worker index (0-based)
     let neighbor_sampler = NeighborSampler::new(n, config.neighbor_sample);
 
-    // Chunked-load machinery, persistent across iterations: the reader
-    // scratch (row ping-pong buffers, timing vectors), the key/segment
-    // staging, and — in Double mode — the prefetching reader whose
-    // background thread lives as long as this worker. The cost model fed
-    // to the readers only prices the modeled makespan, which this driver
-    // ignores (it measures real wall-clock); any model works.
+    // Chunked-load machinery, persistent across iterations: the worker
+    // scratch (reader buffers, key staging, kernel scratch) and — in
+    // Double mode — the prefetching reader whose background thread lives
+    // as long as this worker. The cost model fed to the readers only
+    // prices the modeled makespan, which this driver ignores (it
+    // measures real wall-clock); any model works.
     let net = NetworkModel::fdr_infiniband();
-    let mut scratch = ReaderScratch::new();
-    let sync_reader = ChunkedReader::new(CHUNK_VERTICES, PipelineMode::Single);
+    let backend = config.backend();
+    let mut scratch = WorkerScratch::new(k, config.neighbor_sample);
+    let sync = ChunkedReader::new(CHUNK_VERTICES, PipelineMode::Single);
     let mut prefetch = match pipeline {
         PipelineMode::Single => None,
         PipelineMode::Double => Some(PrefetchingReader::new(CHUNK_VERTICES)),
     };
-    let mut keys_buf: Vec<u32> = Vec::new();
-    let mut seg_lens: Vec<usize> = Vec::new();
-    let mut linked_buf: Vec<bool> = Vec::new();
 
     for t in 0..iterations {
         // ---- receive this iteration's share ----
@@ -256,174 +225,89 @@ fn worker_loop(
         let mut r = MessageReader::new(&payload);
         let beta = r.get_f64_slice().map_err(comm_error)?;
         let theta = r.get_f64_slice().map_err(comm_error)?;
-        let ids = r.get_u32_slice().map_err(comm_error)?;
-        let adjacency: Vec<Vec<u32>> = (0..ids.len())
+        let share: Vec<VertexId> = r
+            .get_u32_slice()
+            .map_err(comm_error)?
+            .into_iter()
+            .map(VertexId)
+            .collect();
+        let adjacency: Vec<Vec<u32>> = (0..share.len())
             .map(|_| r.get_u32_slice())
             .collect::<Result<_, _>>()
             .map_err(comm_error)?;
-        let pair_words = r.get_u32_slice().map_err(comm_error)?;
+        let pairs: Vec<(Edge, bool)> = r
+            .get_u32_slice()
+            .map_err(comm_error)?
+            .chunks_exact(3)
+            .map(|c| (Edge::new(VertexId(c[0]), VertexId(c[1])), c[2] != 0))
+            .collect();
         let weights = r.get_f64_slice().map_err(comm_error)?;
         let do_perplexity = r.get_u32().map_err(comm_error)? != 0;
         r.finish().map_err(comm_error)?;
 
-        let params = WorkerParams {
-            k,
+        let p = WorkerParams {
+            config: &config,
             n,
-            alpha: config.alpha,
-            delta: config.delta,
-            eps: config.step.at(t),
-            backend: config.backend(),
+            iteration: t,
+            backend,
+            beta: &beta,
+            theta: &theta,
         };
 
         // ---- update_phi: one-sided chunked reads, local compute ----
-        // Neighbor sets are sampled up front (each vertex owns its RNG
-        // stream, so sampling order is immaterial); the rows for a whole
-        // vertex chunk are then loaded in one batched read, optionally
-        // prefetched a chunk ahead of the compute.
-        let mut updates: Vec<(u32, Vec<f64>)> = Vec::with_capacity(ids.len());
-        {
-            let mut per_vertex: Vec<(u32, Vec<VertexId>, Xoshiro256PlusPlus)> = ids
-                .iter()
-                .map(|&v| {
-                    let mut rng = crate::rngs::vertex_rng(config.seed, t, v);
-                    let ns = neighbor_sampler.sample(VertexId(v), Some(&heldout), &mut rng);
-                    (v, ns, rng)
-                })
-                .collect();
-            keys_buf.clear();
-            seg_lens.clear();
-            for chunk in per_vertex.chunks(CHUNK_VERTICES) {
-                // Keys: own row then neighbor rows, per vertex.
-                let before = keys_buf.len();
-                for (v, ns, _) in chunk.iter() {
-                    keys_buf.push(*v);
-                    keys_buf.extend(ns.iter().map(|b| b.0));
-                }
-                seg_lens.push(keys_buf.len() - before);
-            }
-            let store = store.read().expect("store lock poisoned");
-            let mut vi = 0usize;
-            let adjacency = &adjacency;
-            let linked = &mut linked_buf;
-            let on_chunk = |_start: usize, chunk_keys: &[u32], rows: &[f32]| {
-                let mut offset = 0usize;
-                while offset < chunk_keys.len() {
-                    let (v, ns, rng) = &mut per_vertex[vi];
-                    let own = &rows[offset * row_len..(offset + 1) * row_len];
-                    let nrows =
-                        &rows[(offset + 1) * row_len..(offset + 1 + ns.len()) * row_len];
-                    linked.clear();
-                    linked.extend(ns.iter().map(|b| adjacency[vi].binary_search(&b.0).is_ok()));
-                    let (_, phi) = phi_update_from_dkv_rows(
-                        &params,
-                        &beta,
-                        VertexId(*v),
-                        own,
-                        &RowView::new(nrows, row_len),
-                        linked,
-                        rng,
-                    );
-                    updates.push((*v, phi));
-                    offset += 1 + ns.len();
-                    vi += 1;
-                }
-            };
-            match &mut prefetch {
-                Some(reader) => {
-                    reader.run_segments(&store, w, &keys_buf, &seg_lens, &net, &mut scratch, on_chunk)?;
-                }
-                None => {
-                    sync_reader
-                        .run_segments(&store, w, &keys_buf, &seg_lens, &net, &mut scratch, on_chunk)?;
-                }
-            }
-        }
+        let mut tasks =
+            sample_neighbor_sets(&p, &neighbor_sampler, &heldout, share.iter().copied());
+        let mut phi = vec![0.0f64; share.len() * k];
+        update_phi_share(
+            &p,
+            &mut tasks,
+            &store.read().expect("store lock poisoned"),
+            w,
+            &net,
+            sync,
+            prefetch.as_mut(),
+            &mut scratch,
+            |i, _, b| adjacency[i].binary_search(&b.0).is_ok(),
+            &mut phi,
+        )?;
         ep.barrier(); // memory-consistency barrier before update_pi
 
         // ---- update_pi: write fresh rows through the store ----
-        {
-            let keys: Vec<u32> = updates.iter().map(|(v, _)| *v).collect();
-            let mut vals = vec![0.0f32; keys.len() * row_len];
-            for (i, (_, phi)) in updates.iter().enumerate() {
-                let sum: f64 = phi.iter().sum();
-                let out = &mut vals[i * row_len..(i + 1) * row_len];
-                for (o, &x) in out[..k].iter_mut().zip(phi) {
-                    *o = (x / sum) as f32;
-                }
-                out[k] = sum as f32;
-            }
-            let mut store = store.write().expect("store lock poisoned");
-            store.write_batch(&keys, &vals)?;
-        }
+        let (keys, vals) = encode_pi_rows(&share, &phi, k, &mut scratch);
+        store
+            .write()
+            .expect("store lock poisoned")
+            .write_batch(keys, vals)?;
         ep.barrier(); // fresh pi everywhere before update_beta
 
         // ---- update_beta_theta: local gradient, global reduce ----
         let mut grad = vec![0.0f64; 2 * k];
         {
             let store = store.read().expect("store lock poisoned");
-            let mut row_a = vec![0.0f32; row_len];
-            let mut row_b = vec![0.0f32; row_len];
-            if params.backend == mmsb_simd::Backend::Scalar {
-                let mut f_diag = vec![0.0f64; k];
-                for (chunk, &weight) in pair_words.chunks_exact(3).zip(weights.iter()) {
-                    let (lo, hi, y) = (chunk[0], chunk[1], chunk[2] != 0);
-                    store.read_batch(&[lo], &mut row_a)?;
-                    store.read_batch(&[hi], &mut row_b)?;
-                    theta_gradient_pair(
-                        &row_a[..k],
-                        &row_b[..k],
-                        y,
-                        weight,
-                        &beta,
-                        &theta,
-                        config.delta,
-                        &mut f_diag,
-                        &mut grad,
-                    );
-                }
-            } else {
-                // Same begin/accumulate/finish sequence as the lockstep
-                // driver's `theta_gradient_slice`, so both drivers produce
-                // identical bytes under any backend.
-                let mut scratch = mmsb_simd::ThetaScratch::new(k);
-                mmsb_simd::theta_chunk_begin(&beta, &theta, config.delta, &mut scratch);
-                for (chunk, &weight) in pair_words.chunks_exact(3).zip(weights.iter()) {
-                    let (lo, hi, y) = (chunk[0], chunk[1], chunk[2] != 0);
-                    store.read_batch(&[lo], &mut row_a)?;
-                    store.read_batch(&[hi], &mut row_b)?;
-                    mmsb_simd::theta_accumulate_pair(
-                        params.backend,
-                        &mut scratch,
-                        &row_a[..k],
-                        &row_b[..k],
-                        y,
-                        weight,
-                    );
-                }
-                mmsb_simd::theta_chunk_finish(&scratch, &mut grad);
-            }
+            theta_gradient_share(
+                &p,
+                &pairs,
+                &weights,
+                |v| &store.row(v)[..k],
+                &mut scratch.ws.theta_scratch,
+                &mut grad,
+            );
         }
         collectives::reduce_sum_f64(&ep, 0, &grad).map_err(comm_error)?;
 
         // ---- perplexity (gathered at the master) ----
         if do_perplexity {
             let share = heldout.partition(w, workers);
-            let mut probs = Vec::with_capacity(share.len());
+            let mut probs = vec![0.0f64; share.len()];
             {
                 let store = store.read().expect("store lock poisoned");
-                let mut row_a = vec![0.0f32; row_len];
-                let mut row_b = vec![0.0f32; row_len];
-                for &(e, y) in share {
-                    store.read_batch(&[e.lo().0], &mut row_a)?;
-                    store.read_batch(&[e.hi().0], &mut row_b)?;
-                    probs.push(link_probability(
-                        &row_a[..k],
-                        &row_b[..k],
-                        &beta,
-                        config.delta,
-                        y,
-                    ));
-                }
+                heldout_probs(
+                    &beta,
+                    config.delta,
+                    share,
+                    |v| &store.row(v)[..k],
+                    &mut probs,
+                );
             }
             let mut msg = MessageWriter::with_capacity(8 + probs.len() * 8);
             msg.put_f64_slice(&probs);

@@ -9,6 +9,7 @@
 
 use crate::config::StateLayout;
 use crate::CoreError;
+use mmsb_dkv::{DkvError, DkvStore, Partition, ShardedStore};
 use mmsb_rand::dist::{Gamma, Sample};
 use mmsb_rand::RngCore;
 
@@ -16,6 +17,27 @@ use mmsb_rand::RngCore;
 /// values positive, the clamp keeps them away from denormal/zero where the
 /// `1/phi` gradient blows up.
 pub const PHI_MIN: f64 = 1e-10;
+
+/// Write the `pi` row of vertex `a`'s new `phi` row into `pi` and return
+/// `sum(phi)` — the one encoding of a `phi` row, shared by
+/// [`ModelState::set_phi_row`] and the distributed `update_pi`
+/// write-back, so the state and the DKV rows hold the same bytes.
+///
+/// # Panics
+/// Panics if the row sum is not positive and finite (a NaN, infinite or
+/// all-zero row).
+pub(crate) fn normalize_phi_row(a: u32, phi: &[f64], pi: &mut [f32]) -> f64 {
+    let sum: f64 = phi.iter().sum();
+    assert!(
+        sum > 0.0 && sum.is_finite(),
+        "phi row for vertex {a} has invalid sum {sum}"
+    );
+    for (j, (p, &x)) in pi.iter_mut().zip(phi).enumerate() {
+        debug_assert!(x > 0.0, "phi[{a}][{j}] = {x} not positive");
+        *p = (x / sum) as f32;
+    }
+    sum
+}
 
 /// Full parameter state of the a-MMSB sampler.
 #[derive(Debug, Clone)]
@@ -157,16 +179,8 @@ impl ModelState {
     /// Panics if `new_phi.len() != k` or any entry is non-positive/NaN.
     pub fn set_phi_row(&mut self, a: u32, new_phi: &[f64]) {
         assert_eq!(new_phi.len(), self.k, "phi row has wrong length");
-        let sum: f64 = new_phi.iter().sum();
-        assert!(
-            sum > 0.0 && sum.is_finite(),
-            "phi row for vertex {a} has invalid sum {sum}"
-        );
         let i = a as usize * self.k;
-        for (j, &x) in new_phi.iter().enumerate() {
-            debug_assert!(x > 0.0, "phi[{a}][{j}] = {x} not positive");
-            self.pi[i + j] = (x / sum) as f32;
-        }
+        let sum = normalize_phi_row(a, new_phi, &mut self.pi[i..i + self.k]);
         self.phi_sum[a as usize] = sum as f32;
         if self.layout == StateLayout::FullPhi {
             self.phi[i..i + self.k].copy_from_slice(new_phi);
@@ -226,6 +240,33 @@ impl ModelState {
         let i = a as usize * self.k;
         self.pi[i..i + self.k].copy_from_slice(&row[..self.k]);
         self.phi_sum[a as usize] = row[self.k];
+    }
+
+    /// A store sharded over `ranks` holding every vertex's DKV row.
+    pub(crate) fn dkv_store(&self, ranks: usize) -> Result<ShardedStore, DkvError> {
+        let mut store = ShardedStore::new(Partition::new(self.n, ranks), self.k + 1);
+        self.write_dkv_rows(&mut store)?;
+        Ok(store)
+    }
+
+    /// Write every vertex's DKV row into `store`.
+    pub(crate) fn write_dkv_rows(&self, store: &mut impl DkvStore) -> Result<(), DkvError> {
+        let mut row = vec![0.0f32; self.k + 1];
+        for a in 0..self.n {
+            self.encode_dkv_row(a, &mut row);
+            store.write_batch(&[a], &row)?;
+        }
+        Ok(())
+    }
+
+    /// Read every vertex's DKV row back from `store`.
+    pub(crate) fn read_dkv_rows(&mut self, store: &impl DkvStore) -> Result<(), DkvError> {
+        let mut row = vec![0.0f32; self.k + 1];
+        for a in 0..self.n {
+            store.read_batch(&[a], &mut row)?;
+            self.apply_dkv_row(a, &row);
+        }
+        Ok(())
     }
 
     /// Approximate heap footprint of the per-vertex state in bytes.
@@ -369,6 +410,23 @@ mod tests {
     fn set_phi_rejects_nan() {
         let mut s = state(StateLayout::PiSumPhi);
         s.set_phi_row(0, &[f64::NAN, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn normalize_rejects_zero_or_non_finite_sums() {
+        for bad in [
+            [0.0, 0.0, 0.0],
+            [f64::NAN, 1.0, 1.0],
+            [f64::INFINITY, 1.0, 1.0],
+            [f64::MAX, f64::MAX, 1.0],
+        ] {
+            let mut pi = [0.0f32; 3];
+            let caught = std::panic::catch_unwind(move || normalize_phi_row(9, &bad, &mut pi));
+            assert!(caught.is_err(), "row {bad:?} must be rejected");
+        }
+        let mut pi = [0.0f32; 3];
+        assert_eq!(normalize_phi_row(9, &[1.0, 2.0, 1.0], &mut pi), 4.0);
+        assert_eq!(pi, [0.25, 0.5, 0.25]);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! contents are pure scratch — they never influence results, which is why
 //! dynamic chunk-to-worker assignment cannot perturb the chain.
 
+use crate::sampler::worker::PhiStep;
 use mmsb_graph::{FxHashSet, VertexId};
 use mmsb_ooc::BlockCache;
-use mmsb_simd::{PhiScratch, ThetaScratch};
+use mmsb_simd::ThetaScratch;
 
 /// Reusable scratch for one worker thread.
 pub(crate) struct Workspace {
@@ -18,20 +19,8 @@ pub(crate) struct Workspace {
     pub rows: Vec<f32>,
     /// Per-neighbor observations `y_ab`.
     pub linked: Vec<bool>,
-    /// `f_diag` scratch of the theta kernel (`K` f64s).
-    pub grad: Vec<f64>,
-    /// Ping-pong `f` scratch of the phi kernel (`2K` f64s).
-    pub f: Vec<f64>,
-    /// Pre-drawn standard-normal variates for the SIMD SGRLD step
-    /// (`K` f64s, drawn in coordinate order).
-    pub noise: Vec<f64>,
-    /// Accepted polar `u` components feeding the vectorized normal
-    /// finish (`K` f64s, coordinate order).
-    pub noise_u: Vec<f64>,
-    /// Accepted polar `s = u² + v²` components paired with `noise_u`.
-    pub noise_s: Vec<f64>,
-    /// Plane scratch of the SIMD phi-gradient kernel.
-    pub phi_scratch: PhiScratch,
+    /// The phi step with its SIMD planes and noise buffers.
+    pub phi: PhiStep,
     /// Context + accumulator planes of the SIMD theta kernel.
     pub theta_scratch: ThetaScratch,
     /// Sampled neighbor set.
@@ -56,12 +45,7 @@ impl Workspace {
             phi_a: vec![0.0; k],
             rows: Vec::with_capacity(neighbor_sample * k),
             linked: Vec::with_capacity(neighbor_sample),
-            grad: vec![0.0; k],
-            f: vec![0.0; 2 * k],
-            noise: Vec::with_capacity(k),
-            noise_u: Vec::with_capacity(k),
-            noise_s: Vec::with_capacity(k),
-            phi_scratch: PhiScratch::new(k),
+            phi: PhiStep::new(k),
             theta_scratch: ThetaScratch::new(k),
             neighbors: Vec::with_capacity(neighbor_sample),
             seen,

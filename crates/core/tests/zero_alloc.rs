@@ -104,11 +104,11 @@ fn steady_state_step_is_allocation_free() {
     // The default config uses stratified-node mini-batches, the strategy
     // the zero-allocation contract covers (random-pair dedup keeps a
     // rebuild-per-draw hash set and is exempt). Both kernel backends must
-    // uphold the contract: the scalar path uses the legacy kernels, the
-    // SIMD path additionally exercises the pre-reserved `PhiScratch` /
+    // uphold the contract: the width-1 scalar emulation and the widest
+    // detected backend both run the pre-reserved `PhiScratch` /
     // `ThetaScratch` planes and the pre-drawn noise buffer in
-    // `Workspace` — forcing the widest detected backend pins that even on
-    // hosts where `Auto` would pick it anyway.
+    // `Workspace` — forcing the widest backend pins that even on hosts
+    // where `Auto` would pick it anyway.
     let backends = [Backend::Scalar, Backend::detect()];
     for (i, &backend) in backends.iter().enumerate() {
         if i > 0 && backend == Backend::Scalar {

@@ -256,6 +256,18 @@ impl ShardedStore {
         self.shards[rank].fill(0.0);
     }
 
+    /// Borrow the row of `key` in place — a one-sided read without the
+    /// copy (and without the emulated read latency or the read metrics)
+    /// of [`DkvStore::read_batch`].
+    ///
+    /// # Panics
+    /// Panics if `key` is out of range.
+    pub fn row(&self, key: u32) -> &[f32] {
+        let shard = &self.shards[self.partition.owner(key)];
+        let i = self.partition.local_index(key) * self.row_len;
+        &shard[i..i + self.row_len]
+    }
+
     /// Bytes per row on the wire.
     pub fn row_bytes(&self) -> usize {
         self.row_len * std::mem::size_of::<f32>()
@@ -376,6 +388,7 @@ mod tests {
             s.read_batch(&keys, &mut out).unwrap();
             for (i, &k) in keys.iter().enumerate() {
                 assert_eq!(out[i * 4], (k * 100) as f32, "ranks={ranks} key={k}");
+                assert_eq!(s.row(k), &out[i * 4..(i + 1) * 4], "ranks={ranks} key={k}");
             }
         }
     }

@@ -7,7 +7,7 @@ use mmsb_core::{SamplerConfig, SequentialSampler};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_rand::Xoshiro256PlusPlus;
-use mmsb_serve::{http, loadgen, ChaosKind, ServeConfig, ServeHandle};
+use mmsb_serve::{http, loadgen, ServeConfig, ServeHandle};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -194,10 +194,47 @@ fn graceful_drain_answers_everything_in_flight() {
     std::fs::remove_file(&model_path).ok();
 }
 
+/// Vertices of the wedge test's model. A `min_weight=0` community
+/// listing names every vertex (~45 bytes each), so one response is
+/// ~1 MB.
+const WEDGE_VERTICES: u32 = 24_000;
+
+/// Pipelined listing requests the wedge client sends in one write
+/// (~3 KB, well under the server's read buffer, so they form one
+/// batch). Their ~70 MB of responses is twice the largest buffers
+/// Linux autotunes a loopback pair to (32 MiB receive + 4 MiB send by
+/// default), and a client that never reads keeps its receive buffer far
+/// below that maximum.
+const WEDGE_REQUESTS: usize = 64;
+
+/// A model over `n` vertices (one iteration is enough: only its size
+/// matters to the listing).
+fn large_checkpoint(seed: u64, n: u32) -> mmsb_core::Checkpoint {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let gen = generate_planted(
+        &PlantedConfig {
+            num_vertices: n,
+            num_communities: K,
+            mean_community_size: n as f64 / K as f64,
+            memberships_per_vertex: 1.0,
+            internal_degree: 2.0,
+            background_degree: 0.5,
+        },
+        &mut rng,
+    );
+    let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
+    let mut s =
+        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
+    s.run(1);
+    s.checkpoint()
+}
+
 #[test]
 fn expired_drain_budget_force_closes_and_counts_aborts() {
     let model_path = tmp_model("force");
-    train_checkpoint(23, 6).save(&model_path).unwrap();
+    large_checkpoint(23, WEDGE_VERTICES)
+        .save(&model_path)
+        .unwrap();
     let handle = ServeHandle::start(
         &model_path,
         &ServeConfig {
@@ -205,19 +242,40 @@ fn expired_drain_budget_force_closes_and_counts_aborts() {
             // Long enough that the drain budget expires first, short
             // enough that the worker's blocked write resolves and the
             // drain's join returns quickly.
-            deadline_ms: 400,
+            deadline_ms: 1_000,
             ..ServeConfig::default()
         },
     )
     .unwrap();
-    let addr = handle.addr();
 
-    // A never-read client wedges the worker in a response write (its
-    // receive buffer fills and it never drains it).
-    let wedge = std::thread::spawn(move || {
-        loadgen::chaos(addr, ChaosKind::NeverRead, 1, 99, 3_000)
-    });
-    std::thread::sleep(Duration::from_millis(100));
+    // A never-read client wedges the worker in a response write: the
+    // batch's responses cannot fit in the socket buffers, so the write
+    // blocks until the deadline.
+    let mut wedge = TcpStream::connect(handle.addr()).unwrap();
+    let mut batch = Vec::new();
+    for _ in 0..WEDGE_REQUESTS {
+        batch.extend_from_slice(&loadgen::get_request("/v1/community/0?min_weight=0"));
+    }
+    wedge.write_all(&batch).unwrap();
+
+    // The worker is wedged once response bytes arrive: it writes a
+    // batch's responses in one call, so it is inside that write. `peek`
+    // observes them without draining the receive buffer.
+    wedge
+        .set_read_timeout(Some(Duration::from_millis(5)))
+        .unwrap();
+    let sw = mmsb_obs::clock::Stopwatch::start();
+    let mut probe = [0u8; 1];
+    loop {
+        match wedge.peek(&mut probe) {
+            Ok(n) if n > 0 => break,
+            Ok(_) => panic!("server closed before responding"),
+            Err(_) => assert!(
+                sw.elapsed_secs() < 120.0,
+                "server never started writing the responses"
+            ),
+        }
+    }
 
     // The 50ms budget expires while the worker is still stuck.
     let report = handle.drain(50);
@@ -227,6 +285,6 @@ fn expired_drain_budget_force_closes_and_counts_aborts() {
         1,
         "the one connection must be accounted exactly once: {report:?}"
     );
-    let _ = wedge.join();
+    drop(wedge);
     std::fs::remove_file(&model_path).ok();
 }

@@ -1,11 +1,12 @@
 //! Vectorized phi kernels: the fused f/Z/out gradient pass (Eq. 6) and
 //! the SGRLD row update (Eq. 5).
 //!
-//! # Relationship to the scalar kernels
+//! # Numeric contract
 //!
-//! These kernels compute the same quantities as
-//! `mmsb_core::kernels::phi_gradient` / `update_phi_row` but under the
-//! *SIMD numeric contract*: the inner factor is evaluated in the
+//! These kernels compute the phi gradient and SGRLD step of the textbook
+//! two-pass form `sum_b (f_c / (Z phi_c) - 1/S)` (Eq. 6) — on every
+//! backend, `Scalar` included — but under the *SIMD numeric contract*:
+//! the inner factor is evaluated in the
 //! algebraically rearranged form `r_c = fma(coef_c, pi_bc, p_ne)` with
 //! `coef_c = ±(beta_c - delta)` precomputed per sign (one fma instead
 //! of two multiplies and two adds); the pair normalizer accumulates
@@ -16,7 +17,7 @@
 //! and applies `(acc_c - n) / S` once at the end instead of dividing
 //! by `phi_ac` in the inner loop. Per-pair normalizers reduce in the
 //! butterfly order documented in [`crate::lanes`]. Results therefore
-//! differ from the scalar kernels in the last ulps but are
+//! differ from the two-pass form in the last ulps but are
 //! bitwise-deterministic **per backend**: the same backend, inputs,
 //! and seed reproduce identical bytes at any thread count, and each
 //! intrinsic backend is pinned bitwise against its matching
@@ -381,8 +382,8 @@ mod tests {
     use super::*;
     use crate::lanes::Lanes;
 
-    /// Naive two-pass scalar reference in the *legacy* evaluation order
-    /// (matches `mmsb_core::kernels::phi_gradient` numerics).
+    /// Naive two-pass scalar reference: the textbook evaluation order,
+    /// without the rearranged algebra.
     fn legacy_gradient(
         phi_a: &[f64],
         beta: &[f64],

@@ -2,8 +2,8 @@
 //! coefficient context.
 //!
 //! `theta` and `beta` are constant within a mini-batch chunk, so
-//! [`theta_chunk_begin`] precomputes everything that legacy
-//! `theta_gradient_pair` re-derived per pair: the per-community
+//! [`theta_chunk_begin`] precomputes everything a per-pair evaluation
+//! would re-derive: the per-community
 //! reciprocals `1/theta_k0`, `1/theta_k1`, `1/(theta_k0 + theta_k1)`
 //! folded into four coefficient planes (link/non-link × component
 //! 0/1 — two of which coincide at `-1/sum`, so three planes are
@@ -16,9 +16,9 @@
 //!
 //! Numeric contract: the per-pair weight is associated as
 //! `(weight * (1/Z)) * f_kk` and applied with one fma per component,
-//! so values differ from the scalar kernel in the last ulps; the
-//! legacy `w == 0` skip is dropped because adding an exact `±0`
-//! product is a rounding no-op. Pair-accumulation order across a chunk
+//! so values differ from a left-to-right scalar evaluation in the last
+//! ulps; pairs of weight `0` are not skipped because adding an exact
+//! `±0` product is a rounding no-op. Pair-accumulation order across a chunk
 //! is the caller's serial batch order, unchanged.
 
 use crate::backend::Backend;
@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use crate::lanes::Lanes;
 
-    /// Scalar reference in the legacy kernel's evaluation order.
+    /// Scalar reference in the textbook left-to-right evaluation order.
     #[allow(clippy::too_many_arguments)]
     fn legacy_pair(
         pi_a: &[f32],

@@ -45,9 +45,12 @@ cargo test -q --offline -p mmsb-check --test model_retry
 
 # SIMD kernel contracts: the lane-abstraction unit + property suites
 # (scalar-vs-SIMD parity per lane width, exp/log/polar ULP bounds), the
-# per-backend bitwise determinism of the full sampler at any thread
-# count, and the scalar-vs-SIMD statistical smoke train.
+# phi/theta gradients of every available backend against finite
+# differences of separately written likelihoods, the per-backend bitwise
+# determinism of the full sampler at any thread count, and the
+# scalar-vs-SIMD statistical smoke train.
 cargo test -q --offline -p mmsb-simd
+cargo test -q --offline -p mmsb-core --test gradient_check
 cargo test -q --offline -p mmsb-core --test simd_determinism
 cargo test -q --offline -p mmsb --test simd_smoke
 

@@ -1,9 +1,10 @@
 //! Scalar-vs-SIMD end-to-end smoke train.
 //!
-//! The SIMD backends are a different *rounding* of the same algorithm —
-//! fused multiply-adds and a lane-strided reduction order instead of the
-//! legacy left-to-right scalar chain — so their chains diverge from the
-//! scalar chain in final digits, not in behavior. This test pins the
+//! The backends are different *roundings* of the same algorithm — the
+//! wide ones use fused multiply-adds and a lane-strided reduction order
+//! where the width-1 scalar emulation rounds every step in sequence — so
+//! their chains diverge from the scalar chain in final digits, not in
+//! behavior. This test pins the
 //! statistical contract the bitwise suites can't: a short train under
 //! the widest detected backend must learn the same model, with held-out
 //! perplexity landing within a tight tolerance of the scalar run.
