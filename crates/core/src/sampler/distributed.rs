@@ -31,6 +31,7 @@ use crate::config::{SamplerConfig, StateLayout};
 use crate::{CoreError, ModelState};
 use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader};
 use mmsb_dkv::FaultingStore;
+use mmsb_graph::access::link_flags;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::{Graph, GraphAccess};
 use mmsb_netsim::{
@@ -449,7 +450,7 @@ impl DistributedSampler {
                 sync,
                 double.then_some(&mut self.prefetch),
                 &mut self.worker,
-                |_, a, b| reader.has_edge(a, b),
+                |_, a, others, linked| link_flags(reader.neighbors(a), others, linked),
                 &mut updates[offset * k..(offset + share.len()) * k],
             )
             .expect("keys are valid vertex ids");

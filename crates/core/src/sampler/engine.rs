@@ -9,8 +9,9 @@ use crate::rngs;
 use crate::state::ModelState;
 use crate::workspace::Workspace;
 use crate::CoreError;
-use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
+use mmsb_graph::access::link_flags;
 use mmsb_graph::heldout::HeldOut;
+use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
 use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Graph, GraphAccess, VertexId};
 use mmsb_ooc::{BlockCache, GraphBackend};
@@ -200,15 +201,13 @@ impl Engine {
         let nn = ws.neighbors.len();
         ws.rows.clear();
         ws.rows.resize(nn * k, 0.0);
-        ws.linked.clear();
-        ws.linked.resize(nn, false);
-        // The reader borrows only `ws.graph_cache`; the loop writes the
-        // disjoint `ws.rows` / `ws.linked` fields.
-        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
         for (i, &b) in ws.neighbors.iter().enumerate() {
             ws.rows[i * k..(i + 1) * k].copy_from_slice(self.state.pi_row(b.0));
-            ws.linked[i] = reader.has_edge(a, b);
         }
+        // One read of `a`'s row answers every probe. The reader borrows
+        // only `ws.graph_cache`, disjoint from `ws.neighbors` / `ws.linked`.
+        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
+        link_flags(reader.neighbors(a), &ws.neighbors, &mut ws.linked);
 
         self.state.phi_row(a.0, &mut ws.phi_a);
         let (p, rows) = (self.worker_params(), RowView::new(&ws.rows, k));

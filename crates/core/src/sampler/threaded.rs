@@ -33,6 +33,7 @@ use mmsb_comm::message::{MessageReader, MessageWriter};
 use mmsb_comm::{collectives, Endpoint, LocalCluster};
 use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader};
 use mmsb_dkv::{DkvStore, ShardedStore};
+use mmsb_graph::access::link_flags;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Edge, Graph, VertexId};
@@ -267,7 +268,7 @@ fn worker_loop(
             sync,
             prefetch.as_mut(),
             &mut scratch,
-            |i, _, b| adjacency[i].binary_search(&b.0).is_ok(),
+            |i, _, others, linked| link_flags(&adjacency[i], others, linked),
             &mut phi,
         )?;
         ep.barrier(); // memory-consistency barrier before update_pi

@@ -5,9 +5,10 @@
 //! agree bitwise by construction: neighbor sampling, the chunked
 //! `update_phi` over DKV rows, the `update_pi` row encoding, the theta
 //! gradient share and the held-out probabilities. What differs between
-//! the drivers is passed in: the adjacency probe (lockstep reads the
-//! graph backend through a block cache, a threaded worker searches the
-//! adjacency rows the master scattered) and where `pi` rows come from.
+//! the drivers is passed in: where a task's adjacency row comes from
+//! (lockstep reads the graph backend through a block cache, a threaded
+//! worker holds the rows the master scattered) and where `pi` rows come
+//! from.
 //! The single-node drivers reach [`PhiStep`], [`theta_gradient_share`]
 //! and [`heldout_probs`] through the engine.
 
@@ -189,8 +190,10 @@ impl PhiStep {
 /// without it `sync` loads and computes back to back. Both deliver the
 /// same chunks in the same order, so the results are identical; the
 /// returned run carries the modeled makespan (and, prefetched, the
-/// measured wall-clock). `has_edge(task, vertex, neighbor)` is the
-/// adjacency probe; it runs inside the timed per-chunk compute.
+/// measured wall-clock). `probe(task, vertex, neighbors, linked)` fills
+/// `linked` with the task's observations from one read of `vertex`'s row
+/// (both drivers pass [`mmsb_graph::access::link_flags`] over their row
+/// source); it runs inside the timed per-chunk compute.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_phi_share(
     p: &WorkerParams,
@@ -201,7 +204,7 @@ pub(crate) fn update_phi_share(
     sync: ChunkedReader,
     prefetch: Option<&mut PrefetchingReader>,
     scratch: &mut WorkerScratch,
-    mut has_edge: impl FnMut(usize, VertexId, VertexId) -> bool,
+    mut probe: impl FnMut(usize, VertexId, &[VertexId], &mut Vec<bool>),
     out: &mut [f64],
 ) -> Result<PrefetchRun, DkvError> {
     let k = p.config.k;
@@ -238,9 +241,7 @@ pub(crate) fn update_phi_share(
                 &rows[(offset + 1) * row_len..(offset + 1 + nn) * row_len],
                 row_len,
             );
-            ws.linked.clear();
-            ws.linked
-                .extend(task.neighbors.iter().map(|&b| has_edge(vi, task.vertex, b)));
+            probe(vi, task.vertex, &task.neighbors, &mut ws.linked);
             let sum = own[k] as f64;
             for (phi, &pi) in ws.phi_a.iter_mut().zip(&own[..k]) {
                 *phi = (pi as f64 * sum).max(PHI_MIN);

@@ -6,6 +6,15 @@
 //! sampler code runs against the resident CSR ([`Graph`]) or an
 //! out-of-core block-cached reader (`mmsb-ooc`'s `OocReader`).
 //!
+//! The unit of access is one row per vertex (paper §III-A ships each
+//! worker the adjacency rows of its mini-batch vertices). The phi update
+//! of a vertex and the non-link stratum of an anchor read that vertex's
+//! row once and answer all of its edge probes from it ([`link_flags`],
+//! or a binary search in the row). Pairwise [`GraphAccess::has_edge`] is
+//! left to draws whose pairs share no endpoint: random-pair mini-batches
+//! and held-out sampling. Out of core, a row costs one or two block
+//! reads, where a probe per pair would load the random partner's block.
+//!
 //! The list- and membership-returning methods take `&mut self`: an
 //! out-of-core reader mutates its block cache on every read. The resident
 //! implementation (on `&Graph`) ignores the mutability. Crucially, the
@@ -15,6 +24,15 @@
 //! (DESIGN.md §15).
 
 use crate::{Graph, VertexId};
+
+/// Fill `out` with one flag per vertex of `others`: whether it appears
+/// in `row`, the sorted neighbor list of some vertex `v`. With `v` not in
+/// `others` (no self-loops), `out[i] == has_edge(v, others[i])`, so all of
+/// `v`'s probes cost one row read. Reuses `out`'s capacity.
+pub fn link_flags(row: &[u32], others: &[VertexId], out: &mut Vec<bool>) {
+    out.clear();
+    out.extend(others.iter().map(|b| row.binary_search(&b.0).is_ok()));
+}
 
 /// Read access to an undirected graph's adjacency structure.
 pub trait GraphAccess {
@@ -35,7 +53,9 @@ pub trait GraphAccess {
     /// or the CSR itself).
     fn neighbors(&mut self, v: VertexId) -> &[u32];
 
-    /// Whether the edge `{a, b}` exists. `a != b` is assumed.
+    /// Whether the edge `{a, b}` exists. `a != b` is assumed. Each call
+    /// reads a row; to probe many pairs sharing an endpoint, read that
+    /// endpoint's [`GraphAccess::neighbors`] once and use [`link_flags`].
     fn has_edge(&mut self, a: VertexId, b: VertexId) -> bool;
 
     /// Number of unordered vertex pairs `|E*| = N (N - 1) / 2`.

@@ -273,16 +273,15 @@ impl MinibatchSampler {
                 // Stepping through the residue class directly keeps this
                 // O(N/m) — the master draws mini-batches on the critical
                 // path (unless pipelined), so an O(N) scan would dominate
-                // small-K configurations.
+                // small-K configurations. Every candidate is tested
+                // against the anchor's row, read once.
                 let p = rng.below_usize(m);
+                let row = graph.neighbors(anchor);
                 let stratum_pairs = (p as u32..n)
                     .step_by(m)
-                    .filter(|&b| b != anchor.0)
+                    .filter(|&b| b != anchor.0 && row.binary_search(&b).is_err())
                     .map(|b| Edge::new(anchor, VertexId(b)))
-                    .filter(|&e| {
-                        !graph.has_edge(e.lo(), e.hi())
-                            && !heldout.is_some_and(|h| h.contains(e))
-                    })
+                    .filter(|&e| !heldout.is_some_and(|h| h.contains(e)))
                     .map(|e| (e, false));
                 let before = pairs.len();
                 pairs.extend(stratum_pairs);

@@ -11,6 +11,12 @@
 //! Cache state is pure scratch. A hit and a miss return the same bytes —
 //! blocks are immutable and CRC-verified on load — so cache size,
 //! eviction order and the seed can never perturb a sampling chain.
+//!
+//! Every read decodes one whole neighbor list through a single varint
+//! walker (`decode_list`); membership tests binary-search the decoded
+//! list. The samplers read one row per mini-batch vertex and per anchor
+//! and answer that vertex's probes from it, so a training step touches
+//! about one or two blocks per row rather than one per sampled pair.
 
 use mmsb_graph::access::GraphAccess;
 use mmsb_graph::VertexId;
@@ -27,7 +33,8 @@ const EMPTY: u32 = u32::MAX;
 const WAYS: usize = 4;
 
 /// A fixed-capacity, set-associative block cache with seeded-LRU
-/// eviction.
+/// eviction, plus the scratch that holds the last decoded neighbor list
+/// (a short row lies in one block, or in two when it straddles a seam).
 #[derive(Debug)]
 pub struct BlockCache {
     block_size: usize,
@@ -202,61 +209,6 @@ impl BlockCache {
         }
         Ok(())
     }
-
-    /// Decode until `target` is found (or passed — lists are sorted), so
-    /// membership tests stop early instead of decoding the full list.
-    fn list_contains(&mut self, graph: &OocGraph, v: u32, target: u32) -> Result<bool, OocError> {
-        let degree = graph.degree(v) as usize;
-        if degree == 0 {
-            return Ok(false);
-        }
-        let (start, end) = graph.list_range(v);
-        let bs = self.block_size as u64;
-        let mut block = (start / bs) as u32;
-        let mut off = (start % bs) as usize;
-        let mut remaining = (end - start) as usize;
-        let mut st = VarintState::default();
-        let mut prev = 0u64;
-        let mut decoded = 0usize;
-        let corrupt = |v: u32| OocError::Corrupt {
-            reason: format!("malformed neighbor list for vertex {v}"),
-        };
-        while remaining > 0 {
-            let slot = self.slot_for(graph, block)?;
-            let take = remaining.min(self.block_size - off);
-            let base = slot * self.block_size + off;
-            for i in 0..take {
-                let byte = self.data[base + i];
-                if let Some(raw) = st.feed(byte).map_err(|_| corrupt(v))? {
-                    let id = if decoded == 0 {
-                        raw
-                    } else {
-                        prev.checked_add(raw)
-                            .and_then(|x| x.checked_add(1))
-                            .ok_or_else(|| corrupt(v))?
-                    };
-                    decoded += 1;
-                    if decoded > degree || id > u32::MAX as u64 {
-                        return Err(corrupt(v));
-                    }
-                    if id as u32 == target {
-                        return Ok(true);
-                    }
-                    if id as u32 > target {
-                        return Ok(false);
-                    }
-                    prev = id;
-                }
-            }
-            remaining -= take;
-            block += 1;
-            off = 0;
-        }
-        if st.mid_varint() || decoded != degree {
-            return Err(corrupt(v));
-        }
-        Ok(false)
-    }
 }
 
 /// A [`GraphAccess`] view over an [`OocGraph`] and a caller-owned
@@ -300,15 +252,18 @@ impl<'a> OocReader<'a> {
         }
     }
 
-    /// Fallible membership test (decodes the smaller-degree endpoint's
-    /// list with early exit).
+    /// Fallible membership test: decodes the smaller-degree endpoint's
+    /// list and binary-searches it. Each call reads a row, so callers
+    /// with many probes per vertex read that vertex's row once instead
+    /// (`mmsb_graph::access::link_flags`); this serves pairs that share
+    /// no endpoint (random-pair draws, held-out sampling).
     pub fn try_has_edge(&mut self, a: VertexId, b: VertexId) -> Result<bool, OocError> {
         let (v, target) = if self.graph.degree(a.0) <= self.graph.degree(b.0) {
-            (a.0, b.0)
+            (a, b)
         } else {
-            (b.0, a.0)
+            (b, a)
         };
-        self.cache.list_contains(self.graph, v, target)
+        Ok(self.try_neighbors(v)?.binary_search(&target.0).is_ok())
     }
 }
 

@@ -105,9 +105,13 @@ cargo test -q --offline -p mmsb-serve --test http_prop
 # determinism (resident vs out-of-core chains identical across
 # eviction-heavy cache sizes, thread counts, and block sizes), the
 # zero-allocation warmed cache read loop (inside zero_alloc above,
-# named here for locality), and the quick bench gate (streamed build →
+# named here for locality), the row access pattern (block accesses per
+# training step stay within 2 x (mini-batch vertices + anchors), and
+# one row read answers a vertex's edge probes on both backends), and
+# the quick bench gate (streamed build →
 # bytes/edge <= 4.8 → cold/warm reads → end-to-end ooc training; the
 # committed BENCH_graph.json carries the full-run 100M-edge figures).
 cargo test -q --offline -p mmsb-ooc
 cargo test -q --offline -p mmsb-core --test backend_determinism
+cargo test -q --offline -p mmsb-core --test row_reads
 (cd "$(mktemp -d)" && "$repo/target/release/bench_graph" --quick)
